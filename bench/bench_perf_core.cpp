@@ -138,6 +138,25 @@ void BM_CwtBandEnergies(benchmark::State& state) {
 }
 BENCHMARK(BM_CwtBandEnergies)->Arg(25)->Arg(100);
 
+// The streaming path at the paper configuration: one 0.25 s window at
+// 16 kHz through a CwtWindowPlan whose table was built once, as every
+// serve shard does per window.
+void BM_CwtWindowPlan(benchmark::State& state) {
+  const auto bins = static_cast<std::size_t>(state.range(0));
+  math::Rng rng(3);
+  std::vector<double> window(4000);
+  for (double& v : window) v = rng.normal();
+  const dsp::MorletCwt cwt(dsp::CwtConfig{16000.0, 6.0});
+  const dsp::FrequencyBinner binner(50.0, 5000.0, bins);
+  dsp::CwtWindowPlan plan(cwt, window.size(), binner.centers());
+  std::vector<double> out(bins);
+  for (auto _ : state) {
+    plan.band_energies_into(window.data(), window.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_CwtWindowPlan)->Arg(100);
+
 void BM_GcodeParse(benchmark::State& state) {
   const std::string program =
       "G28\nG1 F1200 X10.5 Y-3.25 Z0.4 E1.2\nM104 S210 ; heat\n"

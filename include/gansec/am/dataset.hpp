@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -98,6 +99,15 @@ class DatasetBuilder {
   /// Raw (unscaled) CWT band energies of a waveform: 1 x bins.
   math::Matrix raw_features(const std::vector<double>& waveform) const;
 
+  /// The CWT table of the configured observation window
+  /// (llround(window_s * sample_rate) samples) over binner().centers();
+  /// null when feature_method is not kCwt. raw_features transforms every
+  /// waveform of that length through it, and the streaming service shares
+  /// it with its shards.
+  const std::shared_ptr<const dsp::CwtTable>& cwt_table() const {
+    return cwt_table_;
+  }
+
   /// Scaled features of a waveform using the scaler fitted by build().
   math::Matrix features_for_waveform(
       const std::vector<double>& waveform) const;
@@ -122,6 +132,7 @@ class DatasetBuilder {
   DatasetConfig config_;
   dsp::FrequencyBinner binner_;
   dsp::MorletCwt cwt_;
+  std::shared_ptr<const dsp::CwtTable> cwt_table_;
   dsp::Stft stft_;
   ConditionEncoder encoder_;
   dsp::MinMaxScaler scaler_;

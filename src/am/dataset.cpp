@@ -94,6 +94,16 @@ DatasetBuilder::DatasetBuilder(DatasetConfig config)
     throw InvalidArgumentError(
         "DatasetConfig: f_max must be below the simulator Nyquist rate");
   }
+  if (config_.feature_method == FeatureMethod::kCwt) {
+    // Same rounding as AcousticSimulator, so every synthesized observation
+    // fits the table.
+    const auto window_length = static_cast<std::size_t>(
+        std::llround(config_.window_s * config_.acoustic.sample_rate));
+    if (window_length > 0) {
+      cwt_table_ = std::make_shared<const dsp::CwtTable>(
+          cwt_, window_length, binner_.centers());
+    }
+  }
 }
 
 std::string DatasetBuilder::gcode_for_label(std::size_t label,
@@ -218,10 +228,14 @@ std::pair<LabeledDataset, LabeledDataset> DatasetBuilder::build_split(
 
 math::Matrix DatasetBuilder::raw_features(
     const std::vector<double>& waveform) const {
-  const std::vector<double> energies =
-      config_.feature_method == FeatureMethod::kCwt
-          ? cwt_.band_energies(waveform, binner_.centers())
-          : stft_.band_energies(waveform, binner_.centers());
+  std::vector<double> energies;
+  if (config_.feature_method == FeatureMethod::kStft) {
+    energies = stft_.band_energies(waveform, binner_.centers());
+  } else if (cwt_table_ && waveform.size() == cwt_table_->window_length()) {
+    energies = cwt_table_->band_energies(waveform);
+  } else {
+    energies = cwt_.band_energies(waveform, binner_.centers());
+  }
   Matrix row(1, energies.size());
   for (std::size_t c = 0; c < energies.size(); ++c) {
     row(0, c) = static_cast<float>(energies[c]);

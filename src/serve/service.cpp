@@ -95,12 +95,11 @@ struct DetectorService::StreamState {
   std::vector<WindowResult> results;
 };
 
-/// Per-shard scratch: the precomputed CWT plan plus feature buffers, so
-/// the per-window path allocates nothing.
+/// Per-shard scratch: a CWT plan over the service's shared table plus
+/// feature buffers, so the per-window path allocates nothing.
 struct DetectorService::ShardContext {
-  ShardContext(const dsp::MorletCwt& cwt, std::size_t window_length,
-               std::vector<double> frequencies)
-      : plan(cwt, window_length, std::move(frequencies)),
+  explicit ShardContext(std::shared_ptr<const dsp::CwtTable> table)
+      : plan(std::move(table)),
         energies(plan.frequencies().size()),
         raw(plan.frequencies().size()),
         scaled(plan.frequencies().size()) {}
@@ -143,12 +142,19 @@ DetectorService::DetectorService(
   // More shards than streams would just idle; clamp.
   if (config_.workers > config_.streams) config_.workers = config_.streams;
 
-  const dsp::MorletCwt cwt(
-      dsp::CwtConfig{builder.config().acoustic.sample_rate, 6.0});
+  // One immutable CWT table serves every shard; the builder's own table
+  // when the window length matches (the usual case), so calibration and
+  // streaming share it too.
+  std::shared_ptr<const dsp::CwtTable> table = builder.cwt_table();
+  if (!table || table->window_length() != config_.window_length) {
+    const dsp::MorletCwt cwt(
+        dsp::CwtConfig{builder.config().acoustic.sample_rate, 6.0});
+    table = std::make_shared<const dsp::CwtTable>(
+        cwt, config_.window_length, builder.binner().centers());
+  }
   shards_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
-    shards_.push_back(std::make_unique<ShardContext>(
-        cwt, config_.window_length, builder.binner().centers()));
+    shards_.push_back(std::make_unique<ShardContext>(table));
   }
 
   states_.reserve(config_.streams);

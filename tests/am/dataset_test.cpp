@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -123,6 +124,34 @@ TEST(DatasetBuilder, FeaturesForWaveform) {
   EXPECT_EQ(row.cols(), 24U);
   EXPECT_GE(row.min(), 0.0F);
   EXPECT_LE(row.max(), 1.0F);
+}
+
+TEST(DatasetBuilder, CwtTableCoversTheConfiguredWindow) {
+  DatasetBuilder builder(test_config());
+  ASSERT_NE(builder.cwt_table(), nullptr);
+  EXPECT_EQ(builder.cwt_table()->window_length(), 1800U);  // 0.15 s x 12 kHz
+  EXPECT_EQ(builder.cwt_table()->frequencies(), builder.binner().centers());
+
+  // Windows of the configured length go through the kept table, others
+  // through a one-off table; both are the batch CWT to the last bit.
+  const dsp::MorletCwt cwt(dsp::CwtConfig{12000.0, 6.0});
+  for (const std::size_t length : {1800U, 1500U}) {
+    std::vector<double> wave(length);
+    for (std::size_t i = 0; i < length; ++i) {
+      wave[i] = std::sin(0.05 * static_cast<double>(i * i % 997));
+    }
+    const std::vector<double> expected =
+        cwt.band_energies(wave, builder.binner().centers());
+    const math::Matrix row = builder.raw_features(wave);
+    ASSERT_EQ(row.cols(), expected.size());
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_EQ(row(0, c), static_cast<float>(expected[c])) << length;
+    }
+  }
+
+  DatasetConfig stft = test_config();
+  stft.feature_method = FeatureMethod::kStft;
+  EXPECT_EQ(DatasetBuilder(stft).cwt_table(), nullptr);
 }
 
 TEST(LabeledDataset, ValidateCatchesMismatch) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
+#include <thread>
 
+#include "gansec/dsp/binner.hpp"
 #include "gansec/error.hpp"
 #include "gansec/math/rng.hpp"
 
@@ -216,6 +219,56 @@ TEST(CwtWindowPlan, Validation) {
   EXPECT_THROW(plan.band_energies_into(wrong.data(), wrong.size(),
                                        out.data()),
                InvalidArgumentError);
+}
+
+TEST(CwtWindowPlan, SharedTableAcrossThreadsMatchesSerial) {
+  // The paper configuration: 0.25 s windows at 16 kHz, 100 log bins. Four
+  // plans share one immutable table and score concurrently; every window
+  // must reproduce the serial result bit for bit (run under TSan too).
+  const MorletCwt cwt(CwtConfig{16000.0, 6.0});
+  const auto table = std::make_shared<const CwtTable>(
+      cwt, 4000, FrequencyBinner::paper_default().centers());
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 3;
+  math::Rng rng(29);
+  std::vector<std::vector<double>> windows(kThreads * kPerThread,
+                                           std::vector<double>(4000));
+  for (auto& w : windows) {
+    for (double& v : w) v = rng.normal();
+  }
+  CwtWindowPlan serial(table);
+  std::vector<std::vector<double>> expected;
+  for (const auto& w : windows) expected.push_back(serial.band_energies(w));
+
+  std::vector<std::vector<double>> got(windows.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      CwtWindowPlan plan(table);
+      for (std::size_t i = t; i < windows.size(); i += kThreads) {
+        got[i] = plan.band_energies(windows[i]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "window " << i;
+  }
+  EXPECT_EQ(expected[0], cwt.band_energies(windows[0], table->frequencies()));
+}
+
+TEST(CwtWindowPlan, NullTableThrows) {
+  EXPECT_THROW(CwtWindowPlan(std::shared_ptr<const CwtTable>()),
+               InvalidArgumentError);
+}
+
+TEST(CwtTable, BatchFormRejectsOtherLengths) {
+  const MorletCwt cwt(CwtConfig{8000.0, 6.0});
+  const CwtTable table(cwt, 1000, {250.0});
+  EXPECT_THROW(table.band_energies(std::vector<double>(999, 0.0)),
+               InvalidArgumentError);
+  EXPECT_EQ(table.band_energies(std::vector<double>(1000, 0.0)),
+            std::vector<double>{0.0});
 }
 
 }  // namespace

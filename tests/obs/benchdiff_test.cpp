@@ -200,6 +200,52 @@ TEST(benchdiff, direction_awareness) {
             1);
 }
 
+/// A one-metric bench artifact with the given scale and core count.
+std::string scaled_fixture(bool smoke, int cores) {
+  return std::string(R"({"schema":"gansec.bench.v1","name":"fixture",)") +
+         "\"smoke\":" + (smoke ? "true" : "false") +
+         R"(,"build":{"git_sha":"aaaa"},)" +
+         R"("host":{"hardware_concurrency":)" + std::to_string(cores) +
+         R"(},"wall_ms":1.0,"metrics":{"BM_Fixture.ns_per_iter":)" +
+         R"({"value":100.0,"direction":"lower_is_better"}},"checks":{}})";
+}
+
+TEST(benchdiff, smoke_and_full_scale_artifacts_do_not_compare) {
+  const fs::path full = scratch_dir() / "scale_full.json";
+  const fs::path smoke = scratch_dir() / "scale_smoke.json";
+  const fs::path log = scratch_dir() / "scale.err";
+  write_file(full, scaled_fixture(false, 4));
+  write_file(smoke, scaled_fixture(true, 4));
+  EXPECT_EQ(run(std::string(benchdiff_path()) + ' ' + full.string() + ' ' +
+                smoke.string() + " > /dev/null 2> " + log.string()),
+            2);
+  EXPECT_NE(read_file(log).find("scale mismatch"), std::string::npos);
+  EXPECT_EQ(run(std::string(benchdiff_path()) + ' ' + smoke.string() + ' ' +
+                full.string() + " > /dev/null 2> /dev/null"),
+            2);
+  // Same scale on both sides still compares.
+  EXPECT_EQ(run(std::string(benchdiff_path()) + ' ' + smoke.string() + ' ' +
+                smoke.string() + " > /dev/null"),
+            0);
+}
+
+TEST(benchdiff, core_count_change_warns_but_compares) {
+  const fs::path one = scratch_dir() / "cores_1.json";
+  const fs::path four = scratch_dir() / "cores_4.json";
+  const fs::path out = scratch_dir() / "cores.out";
+  write_file(one, scaled_fixture(false, 1));
+  write_file(four, scaled_fixture(false, 4));
+  EXPECT_EQ(run(std::string(benchdiff_path()) + ' ' + one.string() + ' ' +
+                four.string() + " > " + out.string()),
+            0);
+  EXPECT_NE(read_file(out).find("WARN  host.hardware_concurrency differs"),
+            std::string::npos);
+  EXPECT_EQ(run(std::string(benchdiff_path()) + ' ' + four.string() + ' ' +
+                four.string() + " > " + out.string()),
+            0);
+  EXPECT_EQ(read_file(out).find("hardware_concurrency"), std::string::npos);
+}
+
 TEST(benchdiff, rejects_malformed_artifacts) {
   const fs::path bad = scratch_dir() / "bad.json";
   write_file(bad, "{\"schema\":\"gansec.bench.v1\"");  // truncated

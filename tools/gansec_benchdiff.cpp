@@ -28,6 +28,12 @@
 // regression, 2 = usage/IO/schema error. Metrics present on only one side
 // are reported as warnings, never regressions (bench sets legitimately
 // evolve across commits).
+//
+// Two bench artifacts must be at the same scale: a smoke run (tiny sizes,
+// "smoke": true) measures plumbing, so comparing it with a full-scale run
+// is refused with exit 2. A different host.hardware_concurrency is a
+// WARN line: the comparison runs, but throughput and latency figures of
+// hosts with different core counts are not like for like.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -214,6 +220,11 @@ void check_artifact(const JsonValue& root, const std::string& schema,
   }
 }
 
+bool is_smoke(const JsonValue& root) {
+  const JsonValue* smoke = root.find("smoke");
+  return smoke != nullptr && smoke->is_bool() && smoke->as_bool();
+}
+
 const Metric* find_metric(const std::vector<Metric>& metrics,
                           std::string_view key) {
   for (const Metric& m : metrics) {
@@ -278,12 +289,35 @@ int main(int argc, char** argv) {
                    cand_schema.c_str());
       return 2;
     }
+    if (base_schema == kBenchSchema &&
+        is_smoke(base_root) != is_smoke(cand_root)) {
+      std::fprintf(stderr,
+                   "gansec_benchdiff: scale mismatch: %s is a %s artifact "
+                   "but %s is a %s artifact; compare smoke with smoke and "
+                   "full scale with full scale\n",
+                   base_path.c_str(),
+                   is_smoke(base_root) ? "smoke" : "full-scale",
+                   cand_path.c_str(),
+                   is_smoke(cand_root) ? "smoke" : "full-scale");
+      return 2;
+    }
     const auto base = extract_metrics(base_root, base_schema, base_path);
     const auto cand = extract_metrics(cand_root, cand_schema, cand_path);
 
     std::printf("comparing %zu baseline metric(s) against %zu candidate "
                 "metric(s), threshold %.1f%%\n",
                 base.size(), cand.size(), threshold * 100.0);
+    const JsonValue* base_cores =
+        base_root.find_path({"host", "hardware_concurrency"});
+    const JsonValue* cand_cores =
+        cand_root.find_path({"host", "hardware_concurrency"});
+    if (base_cores != nullptr && cand_cores != nullptr &&
+        base_cores->is_number() && cand_cores->is_number() &&
+        base_cores->as_number() != cand_cores->as_number()) {
+      std::printf("  WARN  host.hardware_concurrency differs: %.0f -> %.0f "
+                  "(timings are not comparable core for core)\n",
+                  base_cores->as_number(), cand_cores->as_number());
+    }
     int regressions = 0;
     int compared = 0;
     for (const Metric& b : base) {
